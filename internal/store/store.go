@@ -8,16 +8,22 @@
 //
 // The Store interface is write-through: the server applies every mutation
 // to its in-memory tables first and mirrors it into the store, then reads
-// the whole state back once at startup (Load). Two implementations:
+// the whole state back once at startup (Load). Without a store (server.New,
+// gocserve without -data) nothing is mirrored at all. Every mutation is one
+// op folded by one reducer (Snapshot.apply); the two implementations share
+// that reducer and its write path and differ only in durability:
 //
-//   - Mem: process-local maps; nothing survives exit. The default, and
-//     byte-identical to the pre-persistence server.
-//   - File: an append-only JSONL operation log in a directory, replayed on
-//     open and periodically compacted. Stdlib only.
+//   - Mem: the bare reducer state; nothing survives exit. It is the
+//     reference model for File and serves in-process restarts and tests.
+//   - File: the same state plus an append-only JSONL log of the ops in a
+//     directory, replayed on open and periodically compacted. Stdlib only.
 package store
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
 	"sort"
 	"sync"
 
@@ -102,6 +108,103 @@ type Snapshot struct {
 	NextHandle uint64
 }
 
+// DefaultMaxJobRecords caps how many job records a store keeps. It matches
+// the engine manager's default job retention: records beyond what the
+// manager would rehydrate are dead weight. The reducer enforces it on every
+// job op, with quarter-cap hysteresis: once the table overshoots the cap by
+// a quarter, the oldest terminal records are dropped back down to it;
+// interrupted ("submitted") records are always kept — they are the
+// restart-recovery signal.
+const DefaultMaxJobRecords = 4096
+
+// DefaultMaxRangeDocs caps how many per-task result documents a store keeps
+// per job (the -compact-ranges knob). The retained low-index prefix is what
+// restart prefill and download resume consume; jobs with more tasks than
+// the cap lose per-task servability past it after a restart, but never the
+// aggregate result.
+const DefaultMaxRangeDocs = 4096
+
+// op is the one mutation type: every Store write becomes an op, Mem and
+// File fold it through Snapshot.apply, and File also logs it as one JSONL
+// line. Exactly one payload group is set, selected by Op: "game" (ID+Game),
+// "job" (Job), "range" (JobID+Lo+Results — one span of a running job's
+// per-task results), "handle" (ID+JobID), "release" (ID), "pin" (JobID),
+// "seq" (Seq — preserves the handle mint counter across compactions, which
+// drop the released handle ops it derives from).
+type op struct {
+	Op      string            `json:"op"`
+	ID      string            `json:"id,omitempty"`
+	Game    *core.Game        `json:"game,omitempty"`
+	Job     *JobRecord        `json:"job,omitempty"`
+	JobID   string            `json:"job_id,omitempty"`
+	Lo      int               `json:"lo,omitempty"`
+	Results []json.RawMessage `json:"results,omitempty"`
+	Seq     uint64            `json:"seq,omitempty"`
+}
+
+// opKinds are the op names the reducer knows.
+var opKinds = map[string]bool{"game": true, "job": true, "range": true, "handle": true, "release": true, "pin": true, "seq": true}
+
+// check rejects ops the reducer cannot apply. It is the one validation
+// step, shared by the write path and log replay.
+func (o op) check() error {
+	switch {
+	case !opKinds[o.Op]:
+		return fmt.Errorf("unknown op %q", o.Op)
+	case o.Op == "game" && o.Game == nil:
+		return fmt.Errorf("game %s without a game", o.ID)
+	case o.Op == "job" && (o.Job == nil || o.Job.ID == ""):
+		return errors.New("job record without an ID")
+	case o.Op == "range" && o.JobID == "":
+		return errors.New("range without a job ID")
+	}
+	return nil
+}
+
+// apply folds one checked op into the snapshot. It is the only place store
+// state changes, so Mem, a live File and a replayed File agree by
+// construction. maxJobs and maxRangeDocs are the stores' MaxJobs and
+// MaxRangeDocs fields (zero means the default cap, negative MaxRangeDocs
+// means unbounded).
+func (s *Snapshot) apply(o op, maxJobs, maxRangeDocs int) {
+	switch o.Op {
+	case "game":
+		s.Games[o.ID] = o.Game
+	case "job":
+		s.Jobs[o.Job.ID] = *o.Job
+		if o.Job.State == JobFailed || o.Job.State == JobCanceled {
+			// No result to serve: the per-task spans are dead weight.
+			delete(s.Ranges, o.Job.ID)
+		}
+		if maxJobs <= 0 {
+			maxJobs = DefaultMaxJobRecords
+		}
+		// Quarter-cap hysteresis, so a table sitting at the cap doesn't
+		// rescan on every insert.
+		if len(s.Jobs) > maxJobs+maxJobs/4 {
+			s.dropExcessJobs(maxJobs)
+		}
+	case "range":
+		if maxRangeDocs == 0 {
+			maxRangeDocs = DefaultMaxRangeDocs
+		}
+		s.addRange(o.JobID, o.Lo, o.Results, maxRangeDocs)
+	case "handle":
+		s.Handles[o.ID] = o.JobID
+		if n, _ := engine.ParseSeq(o.ID, "h-"); n > s.NextHandle {
+			s.NextHandle = n
+		}
+	case "release":
+		delete(s.Handles, o.ID)
+	case "pin":
+		s.Pins[o.JobID] = struct{}{}
+	case "seq":
+		if o.Seq > s.NextHandle {
+			s.NextHandle = o.Seq
+		}
+	}
+}
+
 // addRange folds one range record into the snapshot, then applies the
 // maxDocs compaction cap (see trimRanges). Spans are appended in watermark
 // order, so the common case extends the previous record in place; an
@@ -166,9 +269,10 @@ func (s *Snapshot) trimRanges(jobID string, max int) {
 }
 
 // Store persists the server's durable state. Implementations must be safe
-// for concurrent use; the server calls the Put/Delete methods while holding
-// its own mutex and never reacquires it from store callbacks, so a store
-// may lock freely but must not call back into the server.
+// for concurrent use. The server enqueues its mutations in order under its
+// own mutex and performs them from a single persist-drain goroutine, never
+// under that mutex, so a store may block and lock freely but must not call
+// back into the server.
 type Store interface {
 	// Load returns the current state. The server calls it once at startup;
 	// the returned maps are the caller's to keep.
@@ -197,13 +301,6 @@ type Store interface {
 	Close() error
 }
 
-// handleSeq is engine.ParseSeq for "h-N" handle IDs; foreign shapes report
-// 0 (they never advance the mint counter).
-func handleSeq(handle string) uint64 {
-	n, _ := engine.ParseSeq(handle, "h-")
-	return n
-}
-
 // dropExcessJobs evicts the oldest terminal job records past limit —
 // mirroring the engine manager's retention policy — and garbage-collects
 // handles and pins whose job record is gone. Submitted records always
@@ -218,7 +315,12 @@ func (s *Snapshot) dropExcessJobs(limit int) {
 				terminal = append(terminal, id)
 			}
 		}
-		sort.Slice(terminal, func(i, k int) bool { return jobSeq(terminal[i]) < jobSeq(terminal[k]) })
+		// Ties (foreign ID shapes all parse as 0) break on the ID, so the
+		// eviction — and hence a replayed snapshot — is deterministic.
+		sort.Slice(terminal, func(i, k int) bool {
+			si, sk := jobSeq(terminal[i]), jobSeq(terminal[k])
+			return si < sk || (si == sk && terminal[i] < terminal[k])
+		})
 		for _, id := range terminal {
 			if len(s.Jobs) <= limit {
 				break
@@ -249,13 +351,10 @@ func jobSeq(id string) uint64 {
 	return n
 }
 
-// Mem is the in-memory Store: a mirror of the server's own tables that
-// vanishes with the process. It exists so the server has exactly one code
-// path — persistence is always on, durability is the store's property. Like
-// File it caps retained job records (the engine manager evicts terminal
-// jobs past its retention, and a mirror that never forgot them would leak
-// in the default no-persistence server).
-type Mem struct {
+// state is what Mem and File share: the caps, the snapshot, and the one
+// write path (check, apply, then the optional log hook). Mem is a bare
+// state; File is a state whose log hook appends each op to its log.
+type state struct {
 	// MaxJobs overrides DefaultMaxJobRecords when positive. Set before use.
 	MaxJobs int
 	// MaxRangeDocs caps the per-task result documents retained per job:
@@ -263,13 +362,115 @@ type Mem struct {
 	// Set before use.
 	MaxRangeDocs int
 
-	mu   sync.Mutex
-	snap Snapshot
+	mu     sync.Mutex
+	snap   Snapshot // guarded by mu
+	closed bool     // guarded by mu
+	// replayed holds ops read back from File's log but not yet applied.
+	// They are folded on first use, so replay honours the caps set after
+	// OpenFile exactly as the live store did when it wrote them.
+	replayed []op // guarded by mu
+	// logLocked, when set, makes one applied op durable; line is its JSON
+	// encoding without the newline. Called with mu held.
+	logLocked func(line []byte) error
+}
+
+// foldLocked applies any replayed ops. Callers hold mu.
+func (s *state) foldLocked() {
+	for _, o := range s.replayed {
+		s.snap.apply(o, s.MaxJobs, s.MaxRangeDocs)
+	}
+	s.replayed = nil
+}
+
+// put is the one write path: validate, encode, apply, log. Encoding is
+// part of validation: an op File could not log is one Mem must not accept
+// either, and it changes nothing.
+func (s *state) put(o op) error {
+	if err := o.check(); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	line, err := json.Marshal(o)
+	if err != nil {
+		return fmt.Errorf("store: encode op: %w", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return os.ErrClosed
+	}
+	s.foldLocked()
+	s.snap.apply(o, s.MaxJobs, s.MaxRangeDocs)
+	if s.logLocked == nil {
+		return nil
+	}
+	return s.logLocked(line)
+}
+
+// Load implements Store.
+func (s *state) Load() (Snapshot, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return Snapshot{}, os.ErrClosed
+	}
+	s.foldLocked()
+	return s.snap.clone(), nil
+}
+
+// PutGame implements Store.
+func (s *state) PutGame(id string, g *core.Game) error {
+	return s.put(op{Op: "game", ID: id, Game: g})
+}
+
+// PutJob implements Store.
+func (s *state) PutJob(rec JobRecord) error {
+	return s.put(op{Op: "job", Job: &rec})
+}
+
+// PutJobRange implements Store. An empty span records nothing.
+func (s *state) PutJobRange(jobID string, lo int, results []json.RawMessage) error {
+	if jobID != "" && len(results) == 0 {
+		return nil // nothing to record; don't burn a log line
+	}
+	return s.put(op{Op: "range", JobID: jobID, Lo: lo, Results: results})
+}
+
+// PutHandle implements Store.
+func (s *state) PutHandle(handle, jobID string) error {
+	return s.put(op{Op: "handle", ID: handle, JobID: jobID})
+}
+
+// DeleteHandle implements Store.
+func (s *state) DeleteHandle(handle string) error {
+	return s.put(op{Op: "release", ID: handle})
+}
+
+// PutPin implements Store.
+func (s *state) PutPin(jobID string) error {
+	return s.put(op{Op: "pin", JobID: jobID})
+}
+
+// Mem is the in-memory Store: the reducer state without a log, so nothing
+// survives the process. Because it folds the same ops through the same
+// reducer and caps as File, it is File's reference model — a Mem and a File
+// fed the same writes Load the same snapshot. The server uses it for
+// in-process restarts (Options.Store); it is not the default — without a
+// store the server mirrors nothing.
+type Mem struct {
+	state
 }
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
-	return &Mem{snap: emptySnapshot()}
+	return &Mem{state: state{snap: emptySnapshot()}}
+}
+
+// Close implements Store: later Loads and mutations fail, as on File.
+func (m *Mem) Close() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.closed = true
+	return nil
 }
 
 func emptySnapshot() Snapshot {
@@ -309,85 +510,3 @@ func (s Snapshot) clone() Snapshot {
 	out.NextHandle = s.NextHandle
 	return out
 }
-
-// Load implements Store.
-func (m *Mem) Load() (Snapshot, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.snap.clone(), nil
-}
-
-// PutGame implements Store.
-func (m *Mem) PutGame(id string, g *core.Game) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.Games[id] = g
-	return nil
-}
-
-// PutJob implements Store.
-func (m *Mem) PutJob(rec JobRecord) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.Jobs[rec.ID] = rec
-	if rec.State == JobFailed || rec.State == JobCanceled {
-		delete(m.snap.Ranges, rec.ID)
-	}
-	limit := m.MaxJobs
-	if limit <= 0 {
-		limit = DefaultMaxJobRecords
-	}
-	// Quarter-cap hysteresis, like File's compaction trigger, so a table
-	// sitting at the cap doesn't rescan on every insert.
-	if len(m.snap.Jobs) > limit+limit/4 {
-		m.snap.dropExcessJobs(limit)
-	}
-	return nil
-}
-
-// PutJobRange implements Store.
-func (m *Mem) PutJobRange(jobID string, lo int, results []json.RawMessage) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.addRange(jobID, lo, results, maxRangeDocs(m.MaxRangeDocs))
-	return nil
-}
-
-// maxRangeDocs resolves a MaxRangeDocs field: zero means the default cap,
-// negative means unbounded (trimRanges treats <= 0 as no cap).
-func maxRangeDocs(v int) int {
-	if v == 0 {
-		return DefaultMaxRangeDocs
-	}
-	return v
-}
-
-// PutHandle implements Store.
-func (m *Mem) PutHandle(handle, jobID string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.Handles[handle] = jobID
-	if n := handleSeq(handle); n > m.snap.NextHandle {
-		m.snap.NextHandle = n
-	}
-	return nil
-}
-
-// DeleteHandle implements Store.
-func (m *Mem) DeleteHandle(handle string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.snap.Handles, handle)
-	return nil
-}
-
-// PutPin implements Store.
-func (m *Mem) PutPin(jobID string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.Pins[jobID] = struct{}{}
-	return nil
-}
-
-// Close implements Store.
-func (m *Mem) Close() error { return nil }
