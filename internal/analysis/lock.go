@@ -160,7 +160,7 @@ func sortedHeld(held []heldMutex) []heldMutex {
 }
 
 // lockedSuffix reports whether the function name follows the
-// caller-holds-the-lock naming convention (pruneHandlesLocked, evictLocked).
+// caller-holds-the-lock naming convention (sweepLocked, evictLocked).
 func lockedSuffix(name string) bool {
 	return strings.HasSuffix(name, "Locked") || strings.HasSuffix(name, "locked")
 }

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 
 	"gameofcoins/internal/dist"
 	"gameofcoins/internal/engine"
+	"gameofcoins/internal/store"
 )
 
 // The /dist endpoints are the coordinator's wire surface — gocworker's whole
@@ -45,31 +45,24 @@ func (s *Server) checkFingerprint(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// pinnedKind is the always-pinned wire form of (kind, version) — unlike
-// engine.VersionedKind, which keeps v1 bare for wire compatibility, a job's
-// remote identity must pin explicitly: a bare kind resolves to *latest* on
-// the worker, which would silently recompute a v1 job under v2 semantics
-// the day a v2 registers. Legacy records with version 0 ran v1 semantics.
-func pinnedKind(kind string, version int) string {
+// remoteInfo is a job's wire identity for remote workers, taken from its
+// store record: the canonical spec, the seed, and the always-pinned wire
+// kind. Unlike engine.VersionedKind, which keeps v1 bare for wire
+// compatibility, a job's remote identity must pin explicitly: a bare kind
+// resolves to *latest* on the worker, which would silently recompute a v1
+// job under v2 semantics the day a v2 registers. Legacy records with
+// version 0 ran v1 semantics.
+func remoteInfo(rec store.JobRecord) *engine.RemoteInfo {
+	version := rec.Version
 	if version <= 0 {
 		version = 1
 	}
-	return fmt.Sprintf("%s@v%d", kind, version)
-}
-
-func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return false
-	}
-	return true
+	return &engine.RemoteInfo{WireKind: fmt.Sprintf("%s@v%d", rec.Kind, version), Spec: rec.Spec, Seed: rec.Seed}
 }
 
 func (s *Server) handleDistJoin(w http.ResponseWriter, r *http.Request) {
 	var req dist.JoinRequest
-	if !decodeInto(w, r, &req) {
+	if !decodeInto(w, r, &req, "request", true) {
 		return
 	}
 	resp, err := s.fleet.Join(req)
@@ -86,7 +79,7 @@ func (s *Server) handleDistJoin(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDistLease(w http.ResponseWriter, r *http.Request) {
 	var req dist.LeaseRequest
-	if !decodeInto(w, r, &req) {
+	if !decodeInto(w, r, &req, "request", true) {
 		return
 	}
 	lease, err := s.fleet.Lease(req)
@@ -104,7 +97,7 @@ func (s *Server) handleDistLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDistReport(w http.ResponseWriter, r *http.Request) {
 	var rep dist.ReportRequest
-	if !decodeInto(w, r, &rep) {
+	if !decodeInto(w, r, &rep, "request", true) {
 		return
 	}
 	resp, err := s.fleet.Report(rep)

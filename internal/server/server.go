@@ -15,12 +15,6 @@
 //	                            may still read "running"; poll for the
 //	                            terminal state)
 //
-// Deduplication means a job can be shared: identical submissions attach to
-// the same job ID, and DELETE cancels that job for every attached client —
-// the same way invalidating a shared cache entry affects all its readers.
-// Clients that must not share fate should vary the seed (or use /v2, whose
-// handles reference-count shared jobs).
-//
 //	GET    /healthz             liveness probe: build info (server version,
 //	                            Go runtime), the catalog fingerprint —
 //	                            replicas serving different spec surfaces are
@@ -42,9 +36,8 @@
 // the catalog so clients can validate before submitting. The server itself
 // validates every submission against the resolved version's schema and
 // rejects shape mismatches with 422 and a JSON-pointer "path" into the spec
-// document. POST returns a per-client *handle* (h-N) that reference-counts
-// the underlying deduplicated job: DELETE releases one client's interest and
-// cancels the job only when the last handle is released.
+// document. POST returns a per-client *handle* (h-N) on the underlying
+// deduplicated job; see "Handles, pins and eviction" below.
 //
 //	GET    /v2/specs                  full spec catalog: every registered
 //	                                  kind@version with its schema, latest/
@@ -79,13 +72,21 @@
 //	                                  only if no other handle remains
 //
 // The v1 endpoints are kept by translation: a v1 JobRequest is rewritten
-// into a v2 envelope and follows the same registry path (v1 DELETE still
-// cancels the job outright — refcounting is a v2 notion). A job a v1
-// client submitted or attached to is *pinned*: v1 clients hold no handles,
-// so releasing the last v2 handle never cancels it — only an explicit v1
-// DELETE (or shutdown) does. The handle table itself is bounded by
-// MaxHandles; past the cap the oldest handles are evicted (they 404
-// afterwards) without canceling their jobs.
+// into a v2 envelope and follows the same registry path.
+//
+// Handles, pins and eviction. Identical submissions share one job. A v2
+// submission attaches to the cached job (or starts one) and mints a handle;
+// a v1 submission attaches and *pins* the job, as v1 clients hold no
+// handles. DELETE /v2/jobs/{handle} cancels the job only when it releases
+// the last handle of an unpinned job; DELETE /v1/jobs/{id} cancels it
+// outright, for every client sharing it (clients that must not share fate
+// vary the seed, or use /v2 handles). With auth enforced a handle belongs
+// to its minting client (403 to others on every handle route), and a v1
+// DELETE is refused while another client submitted the job (403) or holds
+// a handle on it (409). A live handle keeps its job, serving it even after
+// the engine's retention policy evicted it from /v1. MaxHandles bounds the
+// handles; past it the oldest are evicted (404 afterwards) without
+// canceling their jobs.
 //
 // Results are cached keyed by (canonical job spec, seed): resubmitting an
 // identical spec returns a completed job instantly. The cache is sound
@@ -111,8 +112,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -176,12 +179,12 @@ type Server struct {
 	traffic *traffic.Controller // admission control: auth, rate limit, quota policy
 
 	// Store writes go through a single ordered queue drained by one
-	// background goroutine: ops are enqueued while s.mu is held — so the
-	// log order matches the in-memory mutation order exactly — but the I/O
-	// itself (which may compact and fsync the whole log) never runs under
-	// s.mu and can never stall a request.
+	// background goroutine: ops are enqueued while the job table's lock is
+	// held — so the log order matches the in-memory mutation order exactly —
+	// but the I/O itself (which may compact and fsync the whole log) never
+	// runs under a request-path lock and can never stall a request.
 	pmu       sync.Mutex
-	pops      []func() // guarded by pmu
+	pops      []func(store.Store) error // guarded by pmu
 	pkick     chan struct{}
 	pstop     chan struct{}
 	pdone     chan struct{}
@@ -193,38 +196,12 @@ type Server struct {
 	persistFails   atomic.Uint64
 	persistLastErr atomic.Value // string: most recent store-write error
 
-	mu      sync.Mutex
-	closing bool                  // guarded by mu; set by Close: suppress terminal records for shutdown-canceled jobs
-	games   map[string]*core.Game // guarded by mu
-	cache   map[string]string     // guarded by mu; cache key → ID of the job holding the result
+	table   *jobTable   // result cache, handles, refcounts, owners and v1 pins
+	closing atomic.Bool // set by Close: suppress terminal records for shutdown-canceled jobs
 
-	// Per-client handles (v2). A handle is one client's reference to a
-	// deduplicated job; refs counts live handles per job so releasing a
-	// handle cancels the job only when no other client still wants it.
-	// v1pin marks jobs a v1 client submitted or attached to: v1 clients are
-	// unaccountable (no handles), so a job they touched is never canceled by
-	// v2 refcounting — only an explicit v1 DELETE or shutdown stops it.
-	handles       map[string]string   // guarded by mu; handle id → job id
-	handleOrder   []string            // guarded by mu; handle ids in mint order, for eviction
-	refs          map[string]int      // guarded by mu; job id → live handle count
-	v1pin         map[string]struct{} // guarded by mu; job id → attached via v1
-	nextHandle    uint64              // guarded by mu
-	handleSweepAt int                 // guarded by mu; pruneHandlesLocked's next sweep threshold
-
-	// owners records which authenticated client each handle was minted for
-	// (handles minted anonymously — open server, rehydrated handles — are
-	// absent). Ownership gates DELETE when a keyring is enforced: releasing
-	// another client's claim on a shared job would let one tenant cancel
-	// another's work. Deliberately in-memory only: after a restart rehydrated
-	// handles are ownerless, which fails open to the pre-traffic semantics.
-	owners map[string]string // guarded by mu
+	mu    sync.Mutex
+	games map[string]*core.Game // guarded by mu
 }
-
-// MaxHandles caps the v2 handle table. Handles are minted per client and
-// many clients never DELETE, so unlike the result cache the table is not
-// bounded by job retention; past the cap the oldest handles are evicted
-// (404 on later use) *without* canceling their jobs.
-const MaxHandles = 4 * engine.DefaultRetention
 
 // Options configure a Server beyond the worker count.
 type Options struct {
@@ -272,12 +249,8 @@ func NewWithOptions(workers int, opts Options) (*Server, error) {
 		store:   opts.Store,
 		traffic: opts.Traffic,
 		games:   map[string]*core.Game{},
-		cache:   map[string]string{},
-		handles: map[string]string{},
-		refs:    map[string]int{},
-		v1pin:   map[string]struct{}{},
-		owners:  map[string]string{},
 	}
+	s.table = newJobTable(s.manager, s.persist)
 	if s.traffic == nil {
 		s.traffic = traffic.New(traffic.Config{})
 	}
@@ -301,17 +274,6 @@ func NewWithOptions(workers int, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// enqueuePersist queues one store write for the background drain. Callers
-// may hold s.mu: enqueueing never blocks and never touches the disk, and
-// because mutations enqueue in the order they are applied to the in-memory
-// tables, the log sees the same total order. A no-op without a store.
-//
-// After Close has stopped the drain, the op runs inline instead (callers at
-// that point — watchJob goroutines recording a job that finished during
-// shutdown — are already off the request path). A write that slips through
-// the remaining hairline race is only ever a terminal record, and losing
-// one is benign: the record stays "submitted" and the next life recomputes
-// the identical result.
 // recordPersist tallies a store-write failure instead of dropping it: the
 // persist queue has no request to fail, so the error surfaces as a counter
 // and last-error string in /healthz. The in-memory tables stay authoritative
@@ -325,13 +287,25 @@ func (s *Server) recordPersist(err error) {
 	s.persistLastErr.Store(err.Error())
 }
 
-func (s *Server) enqueuePersist(op func()) {
+// persist queues one store write for the background drain; its error, if
+// any, goes to recordPersist. Callers may hold the job table's lock:
+// enqueueing never blocks and never touches the disk, and because mutations
+// enqueue in the order they are applied to the in-memory tables, the log
+// sees the same total order. A no-op without a store.
+//
+// After Close has stopped the drain, the op runs inline instead (callers at
+// that point — watchJob goroutines recording a job that finished during
+// shutdown — are already off the request path). A write that slips through
+// the remaining hairline race is only ever a terminal record, and losing
+// one is benign: the record stays "submitted" and the next life recomputes
+// the identical result.
+func (s *Server) persist(op func(store.Store) error) {
 	if s.store == nil {
 		return
 	}
 	select {
 	case <-s.pstop:
-		op()
+		s.recordPersist(op(s.store))
 		return
 	default:
 	}
@@ -369,7 +343,7 @@ func (s *Server) drainPersist() {
 			return
 		}
 		for _, op := range ops {
-			op()
+			s.recordPersist(op(s.store))
 		}
 	}
 }
@@ -387,51 +361,13 @@ func (s *Server) rehydrate(failInterrupted bool) error {
 		//goclint:allow lockguard -- pre-publication: rehydrate runs inside NewWithOptions before the server is shared
 		s.games[id] = g
 	}
-	jobs := make([]store.JobRecord, 0, len(snap.Jobs))
-	for _, rec := range snap.Jobs {
-		jobs = append(jobs, rec)
-	}
+	jobs := slices.Collect(maps.Values(snap.Jobs))
 	sort.Slice(jobs, func(i, k int) bool { return idLess(jobs[i].ID, jobs[k].ID, "job-") })
-	// Rehydration mutates the server's tables without s.mu (nothing else
-	// can see the server yet) — so the completion watchers of resubmitted
-	// jobs, which DO take s.mu and mutate s.cache the moment their job
-	// ends, must not start until every table below is fully built. Collect
-	// them and attach last.
-	var watch []watchStart
 	for _, rec := range jobs {
-		watch = append(watch, s.rehydrateJob(rec, failInterrupted, snap.Ranges[rec.ID])...)
+		s.rehydrateJob(rec, failInterrupted, snap.Ranges[rec.ID])
 	}
-	handles := make([]string, 0, len(snap.Handles))
-	for h := range snap.Handles {
-		handles = append(handles, h)
-	}
-	sort.Slice(handles, func(i, k int) bool { return idLess(handles[i], handles[k], "h-") })
-	for _, h := range handles {
-		jobID := snap.Handles[h]
-		if _, err := s.manager.Get(jobID); err != nil {
-			continue // the job did not come back; the handle would dangle
-		}
-		s.handles[h] = jobID
-		s.handleOrder = append(s.handleOrder, h)
-		s.refs[jobID]++
-	}
-	s.nextHandle = snap.NextHandle
-	for jobID := range snap.Pins {
-		if _, err := s.manager.Get(jobID); err == nil {
-			s.v1pin[jobID] = struct{}{}
-		}
-	}
-	for _, w := range watch {
-		s.watchJob(w.job, w.rec)
-	}
+	s.table.restore(jobs, &snap)
 	return nil
-}
-
-// watchStart is a deferred watchJob call: rehydration collects these and
-// attaches them only after the server's tables are fully built.
-type watchStart struct {
-	job *engine.Job
-	rec store.JobRecord
 }
 
 // rehydrateJob revives one job record. Terminal jobs are restored as-is
@@ -444,17 +380,16 @@ type watchStart struct {
 // destroyed. Nothing here is fatal: a record that cannot be revived at all
 // (kind no longer registered, corrupt spec) becomes a failed job that says
 // why, not a startup abort.
-func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges []store.RangeRecord) []watchStart {
+func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges []store.RangeRecord) {
 	switch rec.State {
 	case store.JobDone:
 		res, err := engine.DecodeResult(rec.Kind, rec.Version, rec.Result)
 		if err != nil {
-			return s.recomputeJob(rec, failInterrupted,
+			s.recomputeJob(rec, failInterrupted,
 				fmt.Sprintf("stored result unreadable after restart: %v", err), ranges)
+			return
 		}
 		if j, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, res, engine.StateDone, ""); err == nil {
-			//goclint:allow lockguard -- pre-publication: rehydrateJob runs under rehydrate before the server is shared
-			s.cache[rec.Key] = rec.ID
 			// Persisted per-task ranges rebuild the result ledger, so ?range
 			// fetches and resumed result streams survive the restart.
 			prefill, _ := flattenRanges(rec.Tasks, ranges)
@@ -465,20 +400,10 @@ func (s *Server) rehydrateJob(rec store.JobRecord, failInterrupted bool, ranges 
 	case store.JobCanceled:
 		_, _ = s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.StateCanceled, rec.Error)
 	case store.JobSubmitted:
-		return s.recomputeJob(rec, failInterrupted, "interrupted by server restart", ranges)
+		s.recomputeJob(rec, failInterrupted, "interrupted by server restart", ranges)
 	}
-	return nil
 }
 
-// recomputeJob reruns a job record under its original ID, spec, and seed —
-// the recovery path for interrupted jobs and for done records whose stored
-// result can no longer be decoded. Persisted result ranges from the previous
-// life prefill the engine's result ledger, so only the missing suffix of
-// tasks actually recomputes — and determinism makes the reassembled result
-// byte-identical to an uninterrupted run. With failInterrupted set (or when
-// the spec itself cannot be revived) the job is restored as failed instead,
-// with reason explaining why. The returned watchStart (if any) must be
-// attached by the caller once rehydration has finished building the tables.
 // flattenRanges turns persisted range records into a task-indexed document
 // map (entries outside [0, tasks) dropped) plus the store's contiguous
 // coverage from 0 — the point above which nothing is persisted yet.
@@ -501,7 +426,15 @@ func flattenRanges(tasks int, ranges []store.RangeRecord) (map[int]json.RawMessa
 	return prefill, from
 }
 
-func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, ranges []store.RangeRecord) []watchStart {
+// recomputeJob reruns a job record under its original ID, spec, and seed —
+// the recovery path for interrupted jobs and for done records whose stored
+// result can no longer be decoded. Persisted result ranges from the previous
+// life prefill the engine's result ledger, so only the missing suffix of
+// tasks actually recomputes — and determinism makes the reassembled result
+// byte-identical to an uninterrupted run. With failInterrupted set (or when
+// the spec itself cannot be revived) the job is restored as failed instead,
+// with reason explaining why.
+func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason string, ranges []store.RangeRecord) {
 	restoreFailed := func(msg string) {
 		if _, err := s.manager.Restore(rec.ID, rec.Kind, rec.Tasks, nil, engine.StateFailed, msg); err == nil {
 			rec.State = store.JobFailed
@@ -512,7 +445,7 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 	}
 	if failInterrupted {
 		restoreFailed(reason)
-		return nil
+		return
 	}
 	// Records written before the catalog redesign carry no version (0);
 	// DecodeSpecAt maps that to v1, the pre-versioning wire format, so old
@@ -520,7 +453,7 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 	spec, err := engine.DecodeSpecAt(rec.Kind, rec.Version, rec.Spec)
 	if err != nil {
 		restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
-		return nil
+		return
 	}
 	// Persisted ranges become the engine's prefill: the decoded documents
 	// land in the new job's results and ledger before any task runs, so the
@@ -529,16 +462,12 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 	// of rewriting spans the log already holds.
 	prefill, from := flattenRanges(rec.Tasks, ranges)
 	job, err := s.manager.SubmitJobOpts(rec.ID, spec, rec.Seed, engine.SubmitOptions{
-		Remote: &engine.RemoteInfo{
-			WireKind: pinnedKind(rec.Kind, rec.Version),
-			Spec:     rec.Spec,
-			Seed:     rec.Seed,
-		},
+		Remote:  remoteInfo(rec),
 		Prefill: prefill,
 	})
 	if err != nil {
 		restoreFailed(fmt.Sprintf("%s; not recomputable: %v", reason, err))
-		return nil
+		return
 	}
 	// Back to "submitted" in the store too, so a crash during the recompute
 	// is itself recoverable (and the stale result document is dropped).
@@ -546,10 +475,8 @@ func (s *Server) recomputeJob(rec store.JobRecord, failInterrupted bool, reason 
 	rec.Result = nil
 	rec.Error = ""
 	s.recordPersist(s.store.PutJob(rec))
-	//goclint:allow lockguard -- pre-publication: recomputeJob runs under rehydrate before the server is shared
-	s.cache[rec.Key] = rec.ID
+	s.watchJob(job, rec)
 	s.watchRanges(job, rec.ID, from, spec)
-	return []watchStart{{job: job, rec: rec}}
 }
 
 // idLess orders prefixed sequence IDs ("job-2" < "job-10") by mint age
@@ -611,9 +538,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // — so the next process life resubmits them. Close does not close the
 // store (the caller owns it).
 func (s *Server) Close() {
-	s.mu.Lock()
-	s.closing = true
-	s.mu.Unlock()
+	s.closing.Store(true)
 	// Stop the coordinator before the manager: outstanding leases requeue
 	// into their jobs first, so no report or expiry sweep races the mass
 	// cancellation below and workers' next reports find their leases gone.
@@ -623,7 +548,7 @@ func (s *Server) Close() {
 		// Stop the persistence drain and wait for its final flush, so
 		// everything enqueued before Close is on disk by the time the
 		// caller closes the store; the extra drain catches ops that raced
-		// the loop's exit (enqueuePersist runs post-stop ops inline).
+		// the loop's exit (persist runs post-stop ops inline).
 		s.pstopOnce.Do(func() { close(s.pstop) })
 		<-s.pdone
 		s.drainPersist()
@@ -632,8 +557,7 @@ func (s *Server) Close() {
 
 func (s *Server) handleCreateGame(w http.ResponseWriter, r *http.Request) {
 	var g core.Game
-	if err := json.NewDecoder(r.Body).Decode(&g); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode game: %w", err))
+	if !decodeInto(w, r, &g, "game", false) {
 		return
 	}
 	id, err := gameID(&g)
@@ -662,10 +586,8 @@ func (s *Server) handleCreateGame(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetGame(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	g, ok := s.games[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
+	g, err := s.resolveGame(r.PathValue("id"))
+	if err != nil {
 		writeError(w, http.StatusNotFound, errors.New("unknown game"))
 		return
 	}
@@ -686,12 +608,11 @@ func (s *Server) resolveGame(id string) (*core.Game, error) {
 }
 
 // submitEnvelope is the single path every job submission takes, v1 or v2:
-// decode through the spec registry, resolve game references, dedupe against
-// the result cache, submit. It returns the (possibly shared) job and whether
-// the submission was answered by an existing cache entry. With mint set (v2)
-// it also mints a per-client handle *inside the dedup critical section* —
-// minting later would let a concurrent last-handle DELETE cancel the job
-// between the cache lookup and the refcount increment.
+// decode through the spec registry, resolve game references, then attach to
+// the job table under the cache key — a v2 submission mints a handle, a v1
+// one (pin set) pins the job. It returns the minted handle (empty for v1)
+// carrying the (possibly shared) job's status, Cached set when an existing
+// cache entry answered.
 //
 // client is the authenticated identity the submission runs as ("" when the
 // server is open); it attributes the job in the engine's quota accounting and
@@ -699,11 +620,10 @@ func (s *Server) resolveGame(id string) (*core.Game, error) {
 // fair-share urgency weight. Neither enters the cache key: a cache hit
 // attaches the client to the job as-is, keeping the original submitter's
 // attribution and priority (dedup shares the computation, not the claim).
-func (s *Server) submitEnvelope(env engine.JobEnvelope, mint bool, client string) (*engine.Job, bool, JobHandle, error) {
-	var jh JobHandle
+func (s *Server) submitEnvelope(env engine.JobEnvelope, pin bool, client string) (JobHandle, error) {
 	class, err := parsePriority(env.Priority)
 	if err != nil {
-		return nil, false, jh, err
+		return JobHandle{}, err
 	}
 	// ResolveEnvelope is the whole registry path: version resolution ("kind"
 	// → latest, "kind@vN" pinned), schema validation (a mismatch surfaces as
@@ -711,74 +631,24 @@ func (s *Server) submitEnvelope(env engine.JobEnvelope, mint bool, client string
 	// JSON-pointer path), then the version's decoder.
 	rs, err := engine.ResolveEnvelope(env)
 	if err != nil {
-		return nil, false, jh, err
+		return JobHandle{}, err
 	}
 	spec, err := engine.ResolveSpec(rs.Spec, s.resolveGame)
 	if err != nil {
-		return nil, false, jh, err
+		return JobHandle{}, err
 	}
 	canonical, err := engine.CanonicalSpecJSON(spec)
 	if err != nil {
 		// A spec that decoded from the wire but cannot re-encode is the
 		// server's problem (a broken Marshaler, non-finite floats built by a
 		// decoder), not the client's: surface it as a 500, not a 400.
-		return nil, false, jh, internalError{err}
+		return JobHandle{}, internalError{err}
 	}
 	// The key hashes the *versioned* wire kind — bare for v1, so every
 	// pre-versioning cache entry and data directory stays valid, and two
 	// versions of one kind can never share a cache line.
 	key := engine.CacheKeyJSON(rs.WireKind(), canonical, env.Seed)
-	// Check-and-reserve is one critical section: concurrent identical
-	// submissions either all see the same cached job or exactly one of them
-	// submits and publishes the key the others then hit. (Lock order is
-	// server.mu → manager/job mutexes; the manager never calls back into
-	// the server, so this cannot deadlock.)
-	s.mu.Lock()
-	if cachedID, hit := s.cache[key]; hit {
-		// Point the client at the job already computing (or holding) this
-		// result — identical submissions attach to the same job, whether it
-		// is still running or long done, so duplicates are never recomputed
-		// and the job table doesn't grow. A dangling entry (job evicted,
-		// failed, or canceled) falls through to a fresh submission.
-		if job, err := s.manager.Get(cachedID); err == nil {
-			// Read Status before Result: if the snapshot is non-terminal the
-			// job is servable regardless of what happens next, and if it is
-			// terminal the result is already set (finish() stores both under
-			// one lock) — the reverse order could misread a job finishing
-			// between the two calls as failed and recompute it.
-			st := job.Status()
-			if _, hasResult := job.Result(); hasResult || !st.State.Terminal() {
-				if mint {
-					jh = s.mintHandleLocked(job.ID(), client)
-				} else {
-					s.pinV1Locked(job.ID())
-				}
-				s.mu.Unlock()
-				return job, true, jh, nil
-			}
-		}
-		delete(s.cache, key)
-	}
-	// Every envelope submission is distributable: the canonical document and
-	// versioned wire kind are the job's wire identity, and remote workers
-	// resolve the pinned kind through their (fingerprint-verified) registry.
-	// Client and weight ride along for quota accounting and priority — pure
-	// scheduling inputs, invisible to the job's result and cache identity.
-	job, err := s.manager.SubmitJobOpts("", spec, env.Seed, engine.SubmitOptions{
-		Remote: &engine.RemoteInfo{
-			WireKind: pinnedKind(rs.Kind, rs.Version),
-			Spec:     canonical,
-			Seed:     env.Seed,
-		},
-		Client: client,
-		Weight: class.Weight(),
-	})
-	if err != nil {
-		s.mu.Unlock()
-		return nil, false, jh, err
-	}
 	rec := store.JobRecord{
-		ID:      job.ID(),
 		Key:     key,
 		Kind:    rs.Kind,
 		Version: rs.Version,
@@ -787,26 +657,18 @@ func (s *Server) submitEnvelope(env engine.JobEnvelope, mint bool, client string
 		Spec:    canonical,
 		State:   store.JobSubmitted,
 	}
-	// Persistence of the job table is best-effort: a store hiccup costs
-	// durability of this record, not the submission (the job still runs).
-	// Enqueued before the mint/pin below so the log always carries a job
-	// record ahead of the handle/pin ops that reference it — what the
-	// store's garbage collection keys on.
-	s.enqueuePersist(func() { s.recordPersist(s.store.PutJob(rec)) })
-	// Publish the key before releasing the lock so no identical submission
-	// can slip between submit and publish; retract it if the job fails or
-	// is canceled.
-	s.cache[key] = job.ID()
-	if mint {
-		jh = s.mintHandleLocked(job.ID(), client)
-	} else {
-		s.pinV1Locked(job.ID())
+	job, cached, jh, err := s.table.attach(key, pin, client, jobStart{spec: spec, rec: rec, weight: class.Weight()})
+	if err != nil {
+		return JobHandle{}, err
 	}
-	s.pruneCacheLocked()
-	s.mu.Unlock()
-	s.watchJob(job, rec)
-	s.watchRanges(job, job.ID(), 0, spec)
-	return job, false, jh, nil
+	if !cached {
+		rec.ID = job.ID()
+		s.watchJob(job, rec)
+		s.watchRanges(job, job.ID(), 0, spec)
+	}
+	jh.Status = job.Status()
+	jh.Cached = cached
+	return jh, nil
 }
 
 // watchJob follows job to its terminal state, then persists the terminal
@@ -825,19 +687,14 @@ func (s *Server) watchJob(job *engine.Job, rec store.JobRecord) {
 				rec.State = store.JobDone
 				rec.Result = b
 				rec.Error = ""
-				s.enqueuePersist(func() { s.recordPersist(s.store.PutJob(rec)) })
+				s.persist(func(st store.Store) error { return st.PutJob(rec) })
 			}
 			// A result that cannot be marshalled also cannot be served; the
 			// record stays "submitted" and a restart recomputes it.
 			return
 		}
-		s.mu.Lock()
-		if s.cache[rec.Key] == job.ID() {
-			delete(s.cache, rec.Key)
-		}
-		closing := s.closing
-		s.mu.Unlock()
-		if closing || s.store == nil {
+		s.table.retract(job)
+		if s.closing.Load() || s.store == nil {
 			return
 		}
 		st := job.Status()
@@ -847,7 +704,7 @@ func (s *Server) watchJob(job *engine.Job, rec store.JobRecord) {
 		}
 		rec.Error = st.Error
 		rec.Result = nil
-		s.enqueuePersist(func() { s.recordPersist(s.store.PutJob(rec)) })
+		s.persist(func(st store.Store) error { return st.PutJob(rec) })
 	}()
 }
 
@@ -879,7 +736,7 @@ func (s *Server) watchRanges(job *engine.Job, jobID string, from int, spec engin
 			}
 			lo := last
 			last = wm
-			s.enqueuePersist(func() { s.recordPersist(s.store.PutJobRange(jobID, lo, docs)) })
+			s.persist(func(st store.Store) error { return st.PutJobRange(jobID, lo, docs) })
 		}
 		for st := range job.Watch(context.Background()) {
 			persist(st.Progress.Watermark)
@@ -889,35 +746,6 @@ func (s *Server) watchRanges(job *engine.Job, jobID string, from int, spec engin
 		// record covers everything that actually computed.
 		persist(job.Watermark())
 	}()
-}
-
-// pinV1Locked marks a job as v1-attached (see v1pin) and enqueues the pin's
-// persistence. Callers hold s.mu.
-func (s *Server) pinV1Locked(jobID string) {
-	if _, dup := s.v1pin[jobID]; dup {
-		return
-	}
-	s.v1pin[jobID] = struct{}{}
-	s.enqueuePersist(func() { s.recordPersist(s.store.PutPin(jobID)) })
-}
-
-// mintHandleLocked creates a fresh handle claiming jobID and enqueues its
-// persistence — enqueueing under s.mu is what keeps a mint and a later
-// eviction of the same handle in log order. Callers must hold s.mu; the
-// returned JobHandle carries the handle id and refcount (the job status is
-// filled in outside the lock).
-func (s *Server) mintHandleLocked(jobID, client string) JobHandle {
-	s.nextHandle++
-	handle := fmt.Sprintf("h-%d", s.nextHandle)
-	s.handles[handle] = jobID
-	s.handleOrder = append(s.handleOrder, handle)
-	s.refs[jobID]++
-	if client != "" {
-		s.owners[handle] = client
-	}
-	s.enqueuePersist(func() { s.recordPersist(s.store.PutHandle(handle, jobID)) })
-	s.pruneHandlesLocked()
-	return JobHandle{Handle: handle, Clients: s.refs[jobID], Client: client}
 }
 
 // internalError marks a submission failure that is the server's fault —
@@ -973,8 +801,7 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode job request: %w", err))
+	if !decodeInto(w, r, &req, "job request", false) {
 		return
 	}
 	env, err := translateV1(req)
@@ -982,14 +809,12 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 		writeSubmitError(w, err)
 		return
 	}
-	job, cached, _, err := s.submitEnvelope(env, false, clientFrom(r))
+	jh, err := s.submitEnvelope(env, true, clientFrom(r))
 	if err != nil {
 		writeSubmitError(w, err)
 		return
 	}
-	st := job.Status()
-	st.Cached = cached
-	writeJSON(w, http.StatusCreated, st)
+	writeJSON(w, http.StatusCreated, jh.Status)
 }
 
 // translateV1 rewrites the legacy flat JobRequest into a self-describing v2
@@ -1083,62 +908,11 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	// With auth enforced, v1 cancel is ownership-gated like v2 release: job
-	// IDs are enumerable via GET /v1/jobs, so without this any tenant could
-	// tear down another's running work. The job's engine attribution names
-	// the original submitter (dedup attaches later clients without
-	// reassigning it); unattributed jobs (rehydrated from a previous life)
-	// stay cancelable by any authenticated client, exactly like ownerless
-	// handles.
-	enforced := s.traffic.Enforced()
-	client := clientFrom(r)
-	if enforced {
-		if owner := job.Client(); owner != "" && owner != client {
-			writeError(w, http.StatusForbidden, fmt.Errorf("job %s belongs to another client", job.ID()))
-			return
-		}
-	}
-	// Retract the job's cache entries inside the critical section, exactly
-	// like the v2 last-handle release path — without this a concurrent
-	// identical submission could attach to the dying job between Cancel and
-	// the asynchronous post-Done retraction, and receive a canceled,
-	// resultless job.
-	s.mu.Lock()
-	if enforced {
-		// Even the submitter may not yank a job out from under other tenants
-		// still holding live v2 handles on it — that is what refcounted
-		// release is for. Checked in the same critical section as the cache
-		// retraction so no handle can mint between the check and the cancel.
-		for h, id := range s.handles {
-			if id != job.ID() {
-				continue
-			}
-			if owner, owned := s.owners[h]; owned && owner != client {
-				s.mu.Unlock()
-				writeError(w, http.StatusConflict, fmt.Errorf("job %s is claimed by another client's handle", job.ID()))
-				return
-			}
-		}
-	}
-	s.retractCacheLocked(job)
-	s.mu.Unlock()
-	job.Cancel()
-	writeJSON(w, http.StatusOK, job.Status())
-}
-
-// retractCacheLocked removes every cache entry pointing at a job that is
-// about to be canceled, so no concurrent identical submission can attach to
-// it. A finished job keeps its entries — its cached result stays servable
-// and Cancel is a no-op on it. Callers hold s.mu.
-func (s *Server) retractCacheLocked(job *engine.Job) {
-	if _, done := job.Result(); done {
+	if err := s.table.cancel(job, clientFrom(r)); err != nil {
+		writeRefusal(w, err)
 		return
 	}
-	for k, id := range s.cache {
-		if id == job.ID() {
-			delete(s.cache, k)
-		}
-	}
+	writeJSON(w, http.StatusOK, job.Status())
 }
 
 // ---- v2: versioned spec catalog, envelopes, handles, batch, SSE ----
@@ -1207,22 +981,17 @@ func (s *Server) handleCreateJobV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var env engine.JobEnvelope
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode job envelope: %w", err))
+	if !decodeInto(w, r, &env, "job envelope", true) {
 		return
 	}
 	// Every POST mints a fresh handle, cache hit or not: the handle is this
 	// client's claim on the (possibly shared) job, and the refcount is what
 	// keeps one client's DELETE from canceling another's work.
-	job, cached, jh, err := s.submitEnvelope(env, true, clientFrom(r))
+	jh, err := s.submitEnvelope(env, false, clientFrom(r))
 	if err != nil {
 		writeSubmitError(w, err)
 		return
 	}
-	jh.Status = job.Status()
-	jh.Cached = cached
 	writeJSON(w, http.StatusCreated, jh)
 }
 
@@ -1271,10 +1040,7 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Jobs []json.RawMessage `json:"jobs"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode batch request: %w", err))
+	if !decodeInto(w, r, &req, "batch request", true) {
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -1307,13 +1073,7 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 			if err := idec.Decode(&env); err != nil {
 				return JobHandle{}, fmt.Errorf("decode job envelope: %w", err)
 			}
-			job, cached, jh, err := s.submitEnvelope(env, true, clientFrom(r))
-			if err != nil {
-				return JobHandle{}, err
-			}
-			jh.Status = job.Status()
-			jh.Cached = cached
-			return jh, nil
+			return s.submitEnvelope(env, false, client)
 		}
 		jh, err := submitItem()
 		if err != nil {
@@ -1326,65 +1086,30 @@ func (s *Server) handleCreateBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"results": results})
 }
 
-// foreignHandleError marks an access to a handle minted for a different
-// client; handlers map it to 403 where other resolution failures are 404.
-type foreignHandleError struct{ handle string }
-
-func (e foreignHandleError) Error() string {
-	return fmt.Sprintf("handle %q belongs to another client", e.handle)
-}
-
-// writeHandleError maps a jobForHandle failure: a foreign handle is 403,
-// anything else (unknown handle, evicted job) 404.
-func writeHandleError(w http.ResponseWriter, err error) {
-	var fe foreignHandleError
-	if errors.As(err, &fe) {
-		writeError(w, http.StatusForbidden, err)
-		return
+// writeRefusal answers a refused job-table operation with its status code.
+func writeRefusal(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	var rf refusal
+	if errors.As(err, &rf) {
+		code = rf.code
 	}
-	writeError(w, http.StatusNotFound, err)
-}
-
-// jobForHandle resolves a handle to its job and the job's live handle count,
-// enforcing ownership: a handle minted for one client is forbidden to every
-// other, on reads as much as release — handles are sequential ("h-1",
-// "h-2", ...), so without this any authenticated tenant could enumerate
-// them and read other tenants' statuses and results. Ownerless handles
-// (open server, or rehydrated from a previous life) stay readable by any
-// authenticated client, matching the release rule.
-func (s *Server) jobForHandle(handle, client string) (*engine.Job, int, error) {
-	s.mu.Lock()
-	jobID, ok := s.handles[handle]
-	owner, owned := s.owners[handle]
-	clients := s.refs[jobID]
-	s.mu.Unlock()
-	if !ok {
-		return nil, 0, fmt.Errorf("unknown handle %q", handle)
-	}
-	if owned && owner != client {
-		return nil, 0, foreignHandleError{handle}
-	}
-	job, err := s.manager.Get(jobID)
-	if err != nil {
-		return nil, 0, err
-	}
-	return job, clients, nil
+	writeError(w, code, err)
 }
 
 func (s *Server) handleHandleStatus(w http.ResponseWriter, r *http.Request) {
 	handle := r.PathValue("handle")
-	job, clients, err := s.jobForHandle(handle, clientFrom(r))
+	job, clients, err := s.table.lookup(handle, clientFrom(r))
 	if err != nil {
-		writeHandleError(w, err)
+		writeRefusal(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, JobHandle{Handle: handle, Clients: clients, Status: job.Status()})
 }
 
 func (s *Server) handleHandleResult(w http.ResponseWriter, r *http.Request) {
-	job, _, err := s.jobForHandle(r.PathValue("handle"), clientFrom(r))
+	job, _, err := s.table.lookup(r.PathValue("handle"), clientFrom(r))
 	if err != nil {
-		writeHandleError(w, err)
+		writeRefusal(w, err)
 		return
 	}
 	if rng := r.URL.Query().Get("range"); rng != "" {
@@ -1494,9 +1219,9 @@ func writeResultRange(w http.ResponseWriter, job *engine.Job, rng string) {
 // gaps. The terminal event is never suppressed (progress counters reset if a
 // restart recomputes the job, so a stale ID must not swallow the ending).
 func (s *Server) handleHandleEvents(w http.ResponseWriter, r *http.Request) {
-	job, _, err := s.jobForHandle(r.PathValue("handle"), clientFrom(r))
+	job, _, err := s.table.lookup(r.PathValue("handle"), clientFrom(r))
 	if err != nil {
-		writeHandleError(w, err)
+		writeRefusal(w, err)
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -1548,148 +1273,12 @@ func (s *Server) handleHandleEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReleaseHandle(w http.ResponseWriter, r *http.Request) {
 	handle := r.PathValue("handle")
-	client := clientFrom(r)
-	s.mu.Lock()
-	jobID, ok := s.handles[handle]
-	if !ok {
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown handle %q", handle))
+	job, remaining, err := s.table.release(handle, clientFrom(r))
+	if err != nil {
+		writeRefusal(w, err)
 		return
 	}
-	// With auth enforced, only the handle's owner may release it: a release
-	// can cancel the shared job, and one tenant must not be able to tear
-	// down another's work. Ownerless handles (rehydrated from a previous
-	// life) stay releasable by any authenticated client.
-	if owner, owned := s.owners[handle]; owned && owner != client {
-		s.mu.Unlock()
-		writeError(w, http.StatusForbidden, fmt.Errorf("handle %q belongs to another client", handle))
-		return
-	}
-	delete(s.handles, handle)
-	delete(s.owners, handle)
-	s.persistHandleRemovalLocked(handle)
-	s.refs[jobID]--
-	remaining := s.refs[jobID]
-	var job *engine.Job
-	if j, err := s.manager.Get(jobID); err == nil {
-		job = j
-	}
-	// Cancel only when no v2 handle remains AND no v1 client ever attached:
-	// v1 clients hold no handles, so a v1-touched job must outlive v2
-	// refcounting (a v1 DELETE can still cancel it explicitly).
-	_, pinned := s.v1pin[jobID]
-	cancel := remaining <= 0 && !pinned
-	if remaining <= 0 {
-		delete(s.refs, jobID)
-	}
-	if cancel && job != nil {
-		// About to cancel: retract cache entries inside this critical
-		// section so a concurrent identical submission submits fresh
-		// instead of attaching to a job being torn down.
-		s.retractCacheLocked(job)
-	}
-	s.mu.Unlock()
-	resp := JobHandle{Handle: handle, Clients: remaining}
-	if job != nil {
-		if cancel {
-			// Last interested client is gone: cancel the shared job (a no-op
-			// if it already finished).
-			job.Cancel()
-		}
-		resp.Status = job.Status()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// persistHandleRemovalLocked enqueues the persistence of a handle's removal
-// (release or eviction). Enqueued under s.mu like the mint, so the log
-// order of a handle's PutHandle and DeleteHandle always matches the
-// in-memory order — a removed handle can never "resurrect" in the store.
-func (s *Server) persistHandleRemovalLocked(handle string) {
-	s.enqueuePersist(func() { s.recordPersist(s.store.DeleteHandle(handle)) })
-}
-
-// pruneHandlesLocked bounds the v2 handle bookkeeping. Handles are minted
-// per client and many clients never DELETE, so unlike the result cache the
-// table is not bounded by job retention. Two passes: drop handles whose job
-// the Manager evicted, then compact handleOrder and — past MaxHandles —
-// evict the oldest handles outright, *without* canceling their jobs (forced
-// eviction is a memory bound, not a cancellation signal; the job keeps
-// running and its result stays cached, but the evicted handle 404s).
-//
-// The sweep triggers on handleOrder's length, not the handle table's:
-// released and evicted handle ids linger in handleOrder until compaction,
-// so keying the trigger on it bounds handleOrder's own growth under
-// submit→release churn (where the table itself stays small). Triggering on
-// doubling since the last sweep — and evicting down to half the cap rather
-// than to the cap, so a full table cannot re-trigger on every mint — keeps
-// the amortized cost per mint O(1). Callers must hold s.mu.
-func (s *Server) pruneHandlesLocked() {
-	limit := s.handleSweepAt
-	if limit < 2*engine.DefaultRetention {
-		limit = 2 * engine.DefaultRetention
-	}
-	if limit > MaxHandles {
-		limit = MaxHandles
-	}
-	if len(s.handleOrder) <= limit {
-		return
-	}
-	for h, id := range s.handles {
-		if _, err := s.manager.Get(id); err != nil {
-			delete(s.handles, h)
-			delete(s.owners, h)
-			s.persistHandleRemovalLocked(h)
-			if s.refs[id]--; s.refs[id] <= 0 {
-				delete(s.refs, id)
-			}
-		}
-	}
-	target := len(s.handles)
-	if target > MaxHandles {
-		target = MaxHandles / 2
-	}
-	kept := s.handleOrder[:0]
-	for _, h := range s.handleOrder {
-		id, ok := s.handles[h]
-		if !ok {
-			continue // released, or dropped by the evicted-job pass
-		}
-		if len(s.handles) > target {
-			delete(s.handles, h)
-			delete(s.owners, h)
-			s.persistHandleRemovalLocked(h)
-			if s.refs[id]--; s.refs[id] <= 0 {
-				delete(s.refs, id)
-			}
-			continue
-		}
-		kept = append(kept, h)
-	}
-	s.handleOrder = kept
-	s.handleSweepAt = 2 * len(s.handleOrder)
-}
-
-// pruneCacheLocked drops cache entries whose job the Manager has evicted.
-// The Manager caps tracked jobs (engine.DefaultRetention), so without this
-// sweep a steady stream of distinct specs would grow the cache forever
-// while its entries dangle. Sweeping only past double the job cap keeps the
-// amortized cost per submission O(1). Callers must hold s.mu.
-func (s *Server) pruneCacheLocked() {
-	if len(s.cache) <= 2*engine.DefaultRetention {
-		return
-	}
-	for k, id := range s.cache {
-		if _, err := s.manager.Get(id); err != nil {
-			delete(s.cache, k)
-		}
-	}
-	// v1 pins are per-job like cache entries, so the same sweep bounds them.
-	for id := range s.v1pin {
-		if _, err := s.manager.Get(id); err != nil {
-			delete(s.v1pin, id)
-		}
-	}
+	writeJSON(w, http.StatusOK, JobHandle{Handle: handle, Clients: remaining, Status: job.Status()})
 }
 
 // gameID derives the content-addressed game identifier: a hash of the
@@ -1701,6 +1290,36 @@ func gameID(g *core.Game) (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return "g-" + hex.EncodeToString(sum[:8]), nil
+}
+
+// maxRequestBody bounds every request body the server decodes: game
+// registrations, v1 and v2 submissions, batches (MaxBatchJobs envelopes)
+// and the /dist/* worker protocol, whose largest message is a lease's task
+// results. A body past it is refused with 413 before it is buffered whole.
+const maxRequestBody = 8 << 20
+
+// decodeInto decodes r's JSON body into v, reading at most maxRequestBody
+// bytes; strict refuses unknown fields. It reports false after answering 413
+// for a body over the bound, declared or read, or 400 for a malformed one.
+func decodeInto(w http.ResponseWriter, r *http.Request, v any, what string, strict bool) bool {
+	if r.ContentLength > maxRequestBody {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("decode %s: body of %d bytes exceeds %d", what, r.ContentLength, maxRequestBody))
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decode %s: %w", what, err))
+		return false
+	}
+	return true
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -366,24 +366,27 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestHandleOrderBoundedUnderChurn: the documented SDK flow (Submit → Wait
-// → Result → Release) keeps the handle table near-empty, but every mint
-// appends to handleOrder — the sweep must bound that slice too, or a
-// long-lived server leaks one entry per request.
+// → Result → Release) must keep the table's bookkeeping bounded however
+// many handles it mints, or a long-lived server leaks one entry per request.
 func TestHandleOrderBoundedUnderChurn(t *testing.T) {
 	s := New(1)
 	defer s.Close()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	name := fmt.Sprintf("churn-%d", latchRun.Add(1))
+	close(latch(name)) // the job finishes as soon as it runs
+	js := jobStart{spec: latchSpec{Name: name}}
 	for i := 0; i < 5*engine.DefaultRetention; i++ {
-		jh := s.mintHandleLocked("job-bogus", "")
-		// Immediate release, as a Submit→Release client produces.
-		delete(s.handles, jh.Handle)
-		if s.refs["job-bogus"]--; s.refs["job-bogus"] <= 0 {
-			delete(s.refs, "job-bogus")
+		job, _, jh, err := s.table.attach("churn", false, "", js)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(s.handleOrder) > 2*engine.DefaultRetention+1 {
-		t.Fatalf("handleOrder grew to %d entries under churn", len(s.handleOrder))
+		<-job.Done() // finished, so releasing the last handle cancels nothing
+		// Immediate release, as a Submit→Release client produces.
+		if _, _, err := s.table.release(jh.Handle, ""); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.table.size(); n > 2*engine.DefaultRetention+1 {
+			t.Fatalf("table bookkeeping grew to %d entries under churn (cycle %d)", n, i)
+		}
 	}
 }
 
