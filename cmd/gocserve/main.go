@@ -91,6 +91,30 @@ func main() {
 	}
 }
 
+// Connection timeouts. readTimeout bounds reading one whole request, body
+// included: the largest accepted body (8 MiB) fits in it on any working
+// link, and a client that stalls mid-body is disconnected once it passes.
+// idleTimeout closes keep-alive connections that wait that long for their
+// next request. There is deliberately no WriteTimeout: it would cut the
+// long-lived SSE /v2/jobs/{h}/events streams. The read timeout does not:
+// net/http lifts the read deadline once a request is fully read.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns gocserve's HTTP server for h on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("gocserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8372", "listen address")
@@ -222,11 +246,7 @@ Distributed execution:
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           api,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := newHTTPServer(*addr, api)
 
 	errc := make(chan error, 1)
 	go func() {

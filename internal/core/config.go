@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"strings"
 
@@ -136,15 +137,29 @@ func (g *Game) RPUs(s Config) []float64 {
 
 // Payoff returns u_p(s) = m_p · F(s.p) / M_{s.p}(s).
 func (g *Game) Payoff(s Config, p MinerID) float64 {
-	return g.miners[p].Power * g.rewards[s[p]] / g.CoinPower(s, s[p])
+	return g.share(p, s[p], g.CoinPower(s, s[p]))
+}
+
+// PayoffWith is Payoff reading M_c(s) from powers, which must be
+// g.CoinPowers(s). It is O(1).
+func (g *Game) PayoffWith(s Config, p MinerID, powers []float64) float64 {
+	return g.share(p, s[p], powers[s[p]])
+}
+
+// share returns m_p · F(c) / m: p's payoff on coin c when the coin's total
+// power, p's own included, is m. Every payoff in the package is this one
+// expression, so the per-step (…With) and the single-shot forms agree bit
+// for bit whenever they are given the same M_c.
+func (g *Game) share(p MinerID, c CoinID, m float64) float64 {
+	return g.miners[p].Power * g.rewards[c] / m
 }
 
 // Payoffs returns every miner's payoff in one pass.
 func (g *Game) Payoffs(s Config) []float64 {
 	powers := g.CoinPowers(s)
 	out := make([]float64, len(s))
-	for p, c := range s {
-		out[p] = g.miners[p].Power * g.rewards[c] / powers[c]
+	for p := range s {
+		out[p] = g.PayoffWith(s, p, powers)
 	}
 	return out
 }
@@ -162,11 +177,10 @@ func (g *Game) SumPayoffs(s Config) float64 {
 // PayoffAfterMove returns u_p((s₋p, c)): the payoff p would receive after
 // unilaterally moving to coin c. For c == s[p] it equals Payoff(s, p).
 func (g *Game) PayoffAfterMove(s Config, p MinerID, c CoinID) float64 {
-	mp := g.miners[p].Power
 	if c == s[p] {
-		return mp * g.rewards[c] / g.CoinPower(s, c)
+		return g.share(p, c, g.CoinPower(s, c))
 	}
-	return mp * g.rewards[c] / (g.CoinPower(s, c) + mp)
+	return g.share(p, c, g.CoinPower(s, c)+g.miners[p].Power)
 }
 
 // Apply returns the configuration (s₋p, c). It does not mutate s.
@@ -178,7 +192,8 @@ func (g *Game) Apply(s Config, p MinerID, c CoinID) Config {
 
 // IsBetterResponse reports whether moving p from s.p to c is a better
 // response step: u_p(s) < u_p((s₋p, c)) beyond the game's epsilon, and c is
-// eligible for p.
+// eligible for p. It recomputes both payoffs from s alone, so it can check
+// a move chosen from a per-step power vector independently of that vector.
 func (g *Game) IsBetterResponse(s Config, p MinerID, c CoinID) bool {
 	if c == s[p] || !g.Eligible(p, c) {
 		return false
@@ -186,18 +201,39 @@ func (g *Game) IsBetterResponse(s Config, p MinerID, c CoinID) bool {
 	return numeric.Greater(g.PayoffAfterMove(s, p, c), g.Payoff(s, p), g.eps)
 }
 
+// BetterMovesWith yields, in CoinID order, every coin c to which moving is
+// a better response step for p in s, with p's payoff u_p((s₋p, c)) there.
+// powers must be g.CoinPowers(s); the scan is then O(m), so a caller that
+// computes powers once per configuration, not once per question, visits
+// every miner's steps in O(n·m) rather than O(n²·m). This loop is the
+// better-response rule: BetterResponses, IsStable, IsEquilibrium and the
+// learning schedulers all ask it.
+//
+// powers must be recomputed with CoinPowers after every move. Updating it
+// in place (subtracting m_p from the old coin, adding it to the new)
+// reassociates the float sums, so the vector drifts from CoinPowers(s) and
+// decisions at a tie change.
+func (g *Game) BetterMovesWith(s Config, p MinerID, powers []float64) iter.Seq2[CoinID, float64] {
+	return func(yield func(CoinID, float64) bool) {
+		mp := g.miners[p].Power
+		cur := g.share(p, s[p], powers[s[p]])
+		for c := range g.coins {
+			if c == s[p] || !g.Eligible(p, c) {
+				continue
+			}
+			if u := g.share(p, c, powers[c]+mp); numeric.Greater(u, cur, g.eps) && !yield(c, u) {
+				return
+			}
+		}
+	}
+}
+
 // BetterResponses returns every coin to which moving is a better response
 // step for p in s, in CoinID order.
 func (g *Game) BetterResponses(s Config, p MinerID) []CoinID {
-	cur := g.Payoff(s, p)
 	var out []CoinID
-	for c := range g.coins {
-		if c == s[p] || !g.Eligible(p, c) {
-			continue
-		}
-		if numeric.Greater(g.PayoffAfterMove(s, p, c), cur, g.eps) {
-			out = append(out, c)
-		}
+	for c := range g.BetterMovesWith(s, p, g.CoinPowers(s)) {
+		out = append(out, c)
 	}
 	return out
 }
@@ -206,14 +242,20 @@ func (g *Game) BetterResponses(s Config, p MinerID) []CoinID {
 // whether that move strictly improves on p's current payoff. Ties are broken
 // toward the lowest CoinID, making the choice deterministic.
 func (g *Game) BestResponse(s Config, p MinerID) (CoinID, bool) {
-	cur := g.Payoff(s, p)
+	return g.BestResponseWith(s, p, g.CoinPowers(s))
+}
+
+// BestResponseWith is BestResponse reading M_c(s) from powers, which must
+// be g.CoinPowers(s).
+func (g *Game) BestResponseWith(s Config, p MinerID, powers []float64) (CoinID, bool) {
+	mp := g.miners[p].Power
 	best := s[p]
-	bestU := cur
+	bestU := g.share(p, s[p], powers[s[p]])
 	for c := range g.coins {
 		if c == s[p] || !g.Eligible(p, c) {
 			continue
 		}
-		if u := g.PayoffAfterMove(s, p, c); numeric.Greater(u, bestU, g.eps) {
+		if u := g.share(p, c, powers[c]+mp); numeric.Greater(u, bestU, g.eps) {
 			best, bestU = c, u
 		}
 	}
@@ -222,14 +264,14 @@ func (g *Game) BestResponse(s Config, p MinerID) (CoinID, bool) {
 
 // IsStable reports whether miner p has no better response step in s.
 func (g *Game) IsStable(s Config, p MinerID) bool {
-	cur := g.Payoff(s, p)
-	for c := range g.coins {
-		if c == s[p] || !g.Eligible(p, c) {
-			continue
-		}
-		if numeric.Greater(g.PayoffAfterMove(s, p, c), cur, g.eps) {
-			return false
-		}
+	return g.stableWith(s, p, g.CoinPowers(s))
+}
+
+// stableWith is IsStable reading M_c(s) from powers, which must be
+// g.CoinPowers(s).
+func (g *Game) stableWith(s Config, p MinerID, powers []float64) bool {
+	for range g.BetterMovesWith(s, p, powers) {
+		return false
 	}
 	return true
 }
@@ -238,15 +280,8 @@ func (g *Game) IsStable(s Config, p MinerID) bool {
 func (g *Game) IsEquilibrium(s Config) bool {
 	powers := g.CoinPowers(s)
 	for p := range s {
-		mp := g.miners[p].Power
-		cur := mp * g.rewards[s[p]] / powers[s[p]]
-		for c := range g.coins {
-			if c == s[p] || !g.Eligible(p, c) {
-				continue
-			}
-			if numeric.Greater(mp*g.rewards[c]/(powers[c]+mp), cur, g.eps) {
-				return false
-			}
+		if !g.stableWith(s, p, powers) {
+			return false
 		}
 	}
 	return true
@@ -255,9 +290,10 @@ func (g *Game) IsEquilibrium(s Config) bool {
 // UnstableMiners returns the miners that have at least one better response
 // step in s, in MinerID order.
 func (g *Game) UnstableMiners(s Config) []MinerID {
+	powers := g.CoinPowers(s)
 	var out []MinerID
 	for p := range s {
-		if !g.IsStable(s, p) {
+		if !g.stableWith(s, p, powers) {
 			out = append(out, p)
 		}
 	}

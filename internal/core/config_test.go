@@ -419,3 +419,33 @@ func TestRandomConfigValid(t *testing.T) {
 		}
 	}
 }
+
+// TestCoinPowersBitIdentical: the per-step view rests on CoinPowers adding
+// each coin's powers in the same miner order as CoinPower, so every entry
+// is bit-identical, and so is every payoff computed from it.
+func TestCoinPowersBitIdentical(t *testing.T) {
+	r := rng.New(14)
+	for trial := 0; trial < 200; trial++ {
+		g, err := RandomGame(r, GenSpec{Miners: 1 + r.Intn(80), Coins: 1 + r.Intn(8)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := RandomConfig(r, g)
+		powers := g.CoinPowers(s)
+		for c := range powers {
+			if math.Float64bits(powers[c]) != math.Float64bits(g.CoinPower(s, c)) {
+				t.Fatalf("trial %d coin %d: CoinPowers %v, CoinPower %v", trial, c, powers[c], g.CoinPower(s, c))
+			}
+		}
+		for p := range s {
+			if math.Float64bits(g.PayoffWith(s, p, powers)) != math.Float64bits(g.Payoff(s, p)) {
+				t.Fatalf("trial %d miner %d: PayoffWith differs from Payoff", trial, p)
+			}
+			for c, u := range g.BetterMovesWith(s, p, powers) {
+				if math.Float64bits(u) != math.Float64bits(g.PayoffAfterMove(s, p, c)) || !g.IsBetterResponse(s, p, c) {
+					t.Fatalf("trial %d miner %d coin %d: BetterMovesWith disagrees with PayoffAfterMove/IsBetterResponse", trial, p, c)
+				}
+			}
+		}
+	}
+}

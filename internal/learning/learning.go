@@ -90,6 +90,7 @@ func Run(g *core.Game, s0 core.Config, sched Scheduler, r *rng.Rand, opts Option
 	}
 	s := s0.Clone()
 	res := Result{Scheduler: sched.Name()}
+	record := opts.RecordMoves || opts.Observer != nil
 	for step := 0; step < maxSteps; step++ {
 		p, c, ok := sched.Next(g, s, r)
 		if !ok {
@@ -100,20 +101,22 @@ func Run(g *core.Game, s0 core.Config, sched Scheduler, r *rng.Rand, opts Option
 		if !g.IsBetterResponse(s, p, c) {
 			return Result{}, fmt.Errorf("%w: miner %d to coin %d in %v", ErrBadMove, p, c, s)
 		}
-		mv := Move{
-			Miner:        p,
-			From:         s[p],
-			To:           c,
-			PayoffBefore: g.Payoff(s, p),
+		// The payoffs are two O(n) scans, so they are computed only for
+		// a caller that sees the move.
+		mv := Move{Miner: p, From: s[p], To: c}
+		if record {
+			mv.PayoffBefore = g.Payoff(s, p)
 		}
 		s[p] = c
-		mv.PayoffAfter = g.Payoff(s, p)
 		res.Steps++
-		if opts.RecordMoves {
-			res.Moves = append(res.Moves, mv)
-		}
-		if opts.Observer != nil {
-			opts.Observer(mv, s)
+		if record {
+			mv.PayoffAfter = g.Payoff(s, p)
+			if opts.RecordMoves {
+				res.Moves = append(res.Moves, mv)
+			}
+			if opts.Observer != nil {
+				opts.Observer(mv, s)
+			}
 		}
 		if opts.Invariant != nil {
 			if err := opts.Invariant(s); err != nil {

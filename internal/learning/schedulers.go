@@ -8,6 +8,21 @@ import (
 	"gameofcoins/internal/rng"
 )
 
+// improving calls yield for every better-response step (p, c) in s, in
+// (MinerID, CoinID) order, with the payoff gain of the move, until yield
+// returns false. powers must be g.CoinPowers(s): one vector answers every
+// question of the step, so a full scan is O(n·m).
+func improving(g *core.Game, s core.Config, powers []float64, yield func(p core.MinerID, c core.CoinID, gain float64) bool) {
+	for p := range s {
+		cur := g.PayoffWith(s, p, powers)
+		for c, u := range g.BetterMovesWith(s, p, powers) {
+			if !yield(p, c, u-cur) {
+				return
+			}
+		}
+	}
+}
+
 // RoundRobin cycles over miners in MinerID order, and whenever the miner
 // under the cursor has a better response it plays that miner's *best*
 // response. It is the classic fictitious-play-style update order.
@@ -24,9 +39,10 @@ func (rr *RoundRobin) Name() string { return "round-robin" }
 // Next implements Scheduler.
 func (rr *RoundRobin) Next(g *core.Game, s core.Config, _ *rng.Rand) (core.MinerID, core.CoinID, bool) {
 	n := g.NumMiners()
+	powers := g.CoinPowers(s)
 	for i := 0; i < n; i++ {
 		p := (rr.cursor + i) % n
-		if c, ok := g.BestResponse(s, p); ok {
+		if c, ok := g.BestResponseWith(s, p, powers); ok {
 			rr.cursor = (p + 1) % n
 			return p, c, true
 		}
@@ -44,23 +60,30 @@ func NewRandom() Random { return Random{} }
 // Name implements Scheduler.
 func (Random) Name() string { return "random" }
 
-// Next implements Scheduler.
+// Next implements Scheduler. It scans the improving moves twice, once to
+// count them and once to walk to the drawn one, so it keeps no move list.
 func (Random) Next(g *core.Game, s core.Config, r *rng.Rand) (core.MinerID, core.CoinID, bool) {
-	type move struct {
-		p core.MinerID
-		c core.CoinID
-	}
-	var moves []move
-	for p := 0; p < g.NumMiners(); p++ {
-		for _, c := range g.BetterResponses(s, p) {
-			moves = append(moves, move{p, c})
-		}
-	}
-	if len(moves) == 0 {
+	powers := g.CoinPowers(s)
+	total := 0
+	improving(g, s, powers, func(core.MinerID, core.CoinID, float64) bool {
+		total++
+		return true
+	})
+	if total == 0 {
 		return 0, 0, false
 	}
-	m := moves[r.Intn(len(moves))]
-	return m.p, m.c, true
+	k := r.Intn(total)
+	var bp core.MinerID
+	var bc core.CoinID
+	improving(g, s, powers, func(p core.MinerID, c core.CoinID, _ float64) bool {
+		if k == 0 {
+			bp, bc = p, c
+			return false
+		}
+		k--
+		return true
+	})
+	return bp, bc, true
 }
 
 // MaxGain greedily plays the single improving move with the largest absolute
@@ -79,15 +102,12 @@ func (MaxGain) Next(g *core.Game, s core.Config, _ *rng.Rand) (core.MinerID, cor
 	var bp core.MinerID
 	var bc core.CoinID
 	found := false
-	for p := 0; p < g.NumMiners(); p++ {
-		cur := g.Payoff(s, p)
-		for _, c := range g.BetterResponses(s, p) {
-			gain := g.PayoffAfterMove(s, p, c) - cur
-			if !found || gain > bestGain {
-				found, bestGain, bp, bc = true, gain, p, c
-			}
+	improving(g, s, g.CoinPowers(s), func(p core.MinerID, c core.CoinID, gain float64) bool {
+		if !found || gain > bestGain {
+			found, bestGain, bp, bc = true, gain, p, c
 		}
-	}
+		return true
+	})
 	return bp, bc, found
 }
 
@@ -108,15 +128,12 @@ func (MinGain) Next(g *core.Game, s core.Config, _ *rng.Rand) (core.MinerID, cor
 	var bp core.MinerID
 	var bc core.CoinID
 	found := false
-	for p := 0; p < g.NumMiners(); p++ {
-		cur := g.Payoff(s, p)
-		for _, c := range g.BetterResponses(s, p) {
-			gain := g.PayoffAfterMove(s, p, c) - cur
-			if gain < bestGain {
-				found, bestGain, bp, bc = true, gain, p, c
-			}
+	improving(g, s, g.CoinPowers(s), func(p core.MinerID, c core.CoinID, gain float64) bool {
+		if gain < bestGain {
+			found, bestGain, bp, bc = true, gain, p, c
 		}
-	}
+		return true
+	})
 	return bp, bc, found
 }
 
@@ -135,8 +152,9 @@ func (SmallestFirst) Name() string { return "smallest-first" }
 // Next implements Scheduler. Miners are sorted by descending power, so the
 // smallest is the highest MinerID.
 func (SmallestFirst) Next(g *core.Game, s core.Config, _ *rng.Rand) (core.MinerID, core.CoinID, bool) {
+	powers := g.CoinPowers(s)
 	for p := g.NumMiners() - 1; p >= 0; p-- {
-		if c, ok := g.BestResponse(s, p); ok {
+		if c, ok := g.BestResponseWith(s, p, powers); ok {
 			return p, c, true
 		}
 	}
@@ -154,8 +172,9 @@ func (LargestFirst) Name() string { return "largest-first" }
 
 // Next implements Scheduler.
 func (LargestFirst) Next(g *core.Game, s core.Config, _ *rng.Rand) (core.MinerID, core.CoinID, bool) {
+	powers := g.CoinPowers(s)
 	for p := 0; p < g.NumMiners(); p++ {
-		if c, ok := g.BestResponse(s, p); ok {
+		if c, ok := g.BestResponseWith(s, p, powers); ok {
 			return p, c, true
 		}
 	}

@@ -39,8 +39,9 @@ func RunSimultaneous(g *core.Game, s0 core.Config, maxRounds int) (SimultaneousR
 	for round := 1; round <= maxRounds; round++ {
 		next := s.Clone()
 		moved := false
+		powers := g.CoinPowers(s)
 		for p := range s {
-			if c, ok := g.BestResponse(s, p); ok {
+			if c, ok := g.BestResponseWith(s, p, powers); ok {
 				next[p] = c
 				moved = true
 			}

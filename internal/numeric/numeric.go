@@ -37,8 +37,16 @@ func Equal(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps*scale(a, b)
 }
 
+// scale is max(|a|, |b|, 1). It picks the larger magnitude with one
+// compare rather than math.Max, whose ±0 and NaN handling costs a call in
+// the innermost loop of every better-response step. The two differ only
+// when an argument is NaN, and then a-b is NaN too, so Less, Greater and
+// Equal are false whatever the scale.
 func scale(a, b float64) float64 {
-	s := math.Max(math.Abs(a), math.Abs(b))
+	s, t := math.Abs(a), math.Abs(b)
+	if t > s {
+		s = t
+	}
 	if s < 1 {
 		return 1
 	}

@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -170,5 +171,71 @@ func TestRatString(t *testing.T) {
 	}
 	if got := RatFromInt(4).String(); got != "4" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// refScale is the comparators' original scale, built on math.Max.
+func refScale(a, b float64) float64 {
+	s := math.Max(math.Abs(a), math.Abs(b))
+	if s < 1 {
+		return 1
+	}
+	return s
+}
+
+// sameDecisions reports whether Less, Greater and Equal answer as they do
+// with refScale, and describes the first difference.
+func sameDecisions(a, b, eps float64) (bool, string) {
+	s := refScale(a, b)
+	want := [3]bool{b-a > eps*s, a-b > eps*s, math.Abs(a-b) <= eps*s}
+	got := [3]bool{Less(a, b, eps), Greater(a, b, eps), Equal(a, b, eps)}
+	if got != want {
+		return false, fmt.Sprintf("(a=%v, b=%v, eps=%v): Less/Greater/Equal = %v, math.Max reference %v", a, b, eps, got, want)
+	}
+	return true, ""
+}
+
+// TestComparatorsMatchMathMax: scale picks the larger magnitude with one
+// compare, not math.Max. Every decision must stay the same, special values
+// included.
+func TestComparatorsMatchMathMax(t *testing.T) {
+	sub := math.SmallestNonzeroFloat64
+	minNormal := 0x1p-1022
+	values := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		sub, -sub, 3 * sub, math.Nextafter(minNormal, 0), minNormal, -minNormal,
+		1, -1, math.Nextafter(1, 2), math.Nextafter(1, 0), -math.Nextafter(1, 2),
+		1 + Eps, 1 - Eps, 0.5, 2, 1e-15, 2e-15, 1e12, 1e12 + 1,
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	epss := []float64{0, Eps, 1e-3, 1, math.Inf(1), math.NaN(), sub}
+	for _, a := range values {
+		for _, b := range values {
+			for _, eps := range epss {
+				if ok, msg := sameDecisions(a, b, eps); !ok {
+					t.Error(msg)
+				}
+			}
+		}
+	}
+	bits := func(a, b uint64, e uint8) bool {
+		ok, msg := sameDecisions(math.Float64frombits(a), math.Float64frombits(b), epss[int(e)%len(epss)])
+		if !ok {
+			t.Log(msg)
+		}
+		return ok
+	}
+	if err := quick.Check(bits, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+	floats := func(a, b float64) bool {
+		ok, msg := sameDecisions(a, b, Eps)
+		if !ok {
+			t.Log(msg)
+		}
+		return ok
+	}
+	if err := quick.Check(floats, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
 	}
 }
