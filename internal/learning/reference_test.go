@@ -14,8 +14,8 @@ import (
 // The schedulers answer every payoff question of a step from one coin-power
 // vector. The reference below answers each question from scratch: every
 // Payoff and PayoffAfterMove re-sums CoinPower over all miners, which is
-// O(n²·m) per step and shares no code with the per-step view. The two must
-// pick the same (miner, coin) at every step.
+// O(n²·m) per step and never reads a CoinPowers vector. The two must pick
+// the same (miner, coin) at every step.
 
 // refBetterResponses is p's better-response coins, in CoinID order.
 func refBetterResponses(g *core.Game, s core.Config, p core.MinerID) []core.CoinID {
